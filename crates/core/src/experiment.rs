@@ -214,6 +214,9 @@ pub struct ExperimentResult {
     pub drops: TestbedDrops,
     /// Scheduler events processed (a cost metric).
     pub events: u64,
+    /// Events the scheduler clamped because they were scheduled into the
+    /// past; 0 in a correct run.
+    pub late_schedules: u64,
     /// Full cross-layer counter snapshot taken at the end of the run.
     pub metrics: TestbedMetrics,
     /// Congestion-control counters, when the flow model was
@@ -509,6 +512,7 @@ pub fn collect_result(
         connect_time,
         drops: tb.drops(),
         events: tb.events_processed(),
+        late_schedules: tb.late_schedules(),
         metrics: tb.metrics(),
         tcp: tb.tcp_stats(tx),
         rrc_dwell: tb.rrc_dwell_total(),

@@ -116,6 +116,9 @@ pub struct FleetReport {
     /// FNV-1a over every per-flow log, the drop counters, `metrics_json`
     /// and the traced nodes' dumps: the shard-invariance witness.
     pub trace_hash: u64,
+    /// Events the shards' schedulers clamped because they were scheduled
+    /// into the past; 0 in a correct run. Not part of `trace_hash`.
+    pub late_schedules: u64,
 }
 
 /// The three fleet operators: the paper's profiles widened to
@@ -321,6 +324,7 @@ fn report(cfg: &FleetConfig, fleet: &mut Fleet) -> FleetReport {
         metrics,
         metrics_json,
         trace_hash: hash.finish(),
+        late_schedules: tb.late_schedules(),
     }
 }
 

@@ -612,6 +612,12 @@ impl ShardedTestbed {
         self.shards.iter().map(|s| s.sched.events_processed()).sum()
     }
 
+    /// Events clamped into the present across all shards' schedulers
+    /// (see `Scheduler::late_schedules`); 0 in a correct run.
+    pub fn late_schedules(&self) -> u64 {
+        self.shards.iter().map(|s| s.sched.late_schedules()).sum()
+    }
+
     /// Snapshots every layer's counters, summed across shards.
     pub fn metrics(&self) -> TestbedMetrics {
         let mut m = TestbedMetrics::default();

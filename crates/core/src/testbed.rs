@@ -235,6 +235,12 @@ impl Testbed {
         self.sched.events_processed()
     }
 
+    /// Events the scheduler clamped because they were scheduled into the
+    /// past (see `Scheduler::late_schedules`); 0 in a correct run.
+    pub fn late_schedules(&self) -> u64 {
+        self.sched.late_schedules()
+    }
+
     /// Snapshots every layer's counters into one [`TestbedMetrics`].
     ///
     /// Cheap (a walk over nodes and links copying plain counters), so it

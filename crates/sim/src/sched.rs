@@ -38,6 +38,7 @@ pub struct Scheduler<E> {
     now: Instant,
     queue: EventQueue<E>,
     processed: u64,
+    late: u64,
 }
 
 impl<E> Default for Scheduler<E> {
@@ -49,7 +50,7 @@ impl<E> Default for Scheduler<E> {
 impl<E> Scheduler<E> {
     /// Creates a scheduler with the clock at [`Instant::ZERO`].
     pub fn new() -> Self {
-        Scheduler { now: Instant::ZERO, queue: EventQueue::new(), processed: 0 }
+        Scheduler { now: Instant::ZERO, queue: EventQueue::new(), processed: 0, late: 0 }
     }
 
     /// The current simulated time. Monotonically non-decreasing.
@@ -70,14 +71,28 @@ impl<E> Scheduler<E> {
         self.queue.len()
     }
 
+    /// Events scheduled into the past and clamped to fire "now" (see
+    /// [`Scheduler::at`]). Nonzero only in release builds, where the debug
+    /// assertion is compiled out; a correct run keeps it at 0.
+    #[inline]
+    pub fn late_schedules(&self) -> u64 {
+        self.late
+    }
+
     /// Schedules `event` at absolute time `at`.
     ///
     /// Scheduling in the past is a logic error; the event is clamped to fire
-    /// "now" (still after all events already due at the current instant) and
-    /// a debug assertion trips in debug builds.
+    /// "now" (still after all events already due at the current instant),
+    /// counted in [`Scheduler::late_schedules`], and a debug assertion trips
+    /// in debug builds.
     pub fn at(&mut self, at: Instant, event: E) -> EventHandle {
         debug_assert!(at >= self.now, "scheduling into the past: {at} < {}", self.now);
-        let at = at.max(self.now);
+        let at = if at < self.now {
+            self.late += 1;
+            self.now
+        } else {
+            at
+        };
         self.queue.schedule(at, event)
     }
 
@@ -104,11 +119,8 @@ impl<E> Scheduler<E> {
     /// `Iterator` because callers interleave scheduling between pops.
     #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> Option<E> {
-        let (at, ev) = self.queue.pop()?;
-        debug_assert!(at >= self.now);
-        self.now = at;
-        self.processed += 1;
-        Some(ev)
+        let fired = self.queue.pop()?;
+        Some(self.advance(fired))
     }
 
     /// Pops the next event if it fires strictly before `horizon`; otherwise
@@ -118,15 +130,22 @@ impl<E> Scheduler<E> {
     /// the simulation up to (but not including) the horizon, and the clock
     /// lands exactly on the horizon when the loop ends.
     pub fn next_before(&mut self, horizon: Instant) -> Option<E> {
-        match self.queue.peek_time() {
-            Some(t) if t < horizon => self.next(),
-            _ => {
+        match self.queue.pop_before(horizon) {
+            Some(fired) => Some(self.advance(fired)),
+            None => {
                 if horizon > self.now {
                     self.now = horizon;
                 }
                 None
             }
         }
+    }
+
+    fn advance(&mut self, (at, ev): (Instant, E)) -> E {
+        debug_assert!(at >= self.now);
+        self.now = at;
+        self.processed += 1;
+        ev
     }
 }
 
@@ -196,6 +215,19 @@ mod tests {
         s.at(Instant::from_millis(10), "a");
         s.next();
         s.at(Instant::from_millis(5), "late");
+    }
+
+    #[test]
+    #[cfg(not(debug_assertions))]
+    fn scheduling_in_the_past_is_clamped_and_counted_in_release() {
+        let mut s: Scheduler<&str> = Scheduler::new();
+        s.at(Instant::from_millis(10), "a");
+        s.next();
+        assert_eq!(s.late_schedules(), 0);
+        s.at(Instant::from_millis(5), "late");
+        assert_eq!(s.late_schedules(), 1);
+        assert_eq!(s.next(), Some("late"));
+        assert_eq!(s.now(), Instant::from_millis(10));
     }
 
     #[test]

@@ -192,10 +192,15 @@ fn fleet_topology_is_shard_count_invariant() {
     // must be byte-identical at shard counts 1, 2, 4 and 8.
     let reference = run_fleet(&FleetConfig::small());
     assert!(reference.sent > 0, "fleet must carry traffic");
+    assert_eq!(reference.late_schedules, 0, "an event was scheduled into the past");
     for shards in [2usize, 4, 8] {
         let mut cfg = FleetConfig::small();
         cfg.shards = shards;
         let r = run_fleet(&cfg);
+        assert_eq!(
+            r.late_schedules, 0,
+            "an event was scheduled into the past at {shards} shard(s)"
+        );
         assert_eq!(r.trace_hash, reference.trace_hash, "trace hash diverged at {shards} shard(s)");
         assert_eq!(
             r.metrics_json, reference.metrics_json,
@@ -216,4 +221,19 @@ fn connect_time_is_deterministic() {
     let t2 = run_experiment(short_cfg(PathKind::UmtsToEthernet, 9)).unwrap().connect_time;
     assert_eq!(t1, t2);
     assert!(t1.is_some());
+}
+
+#[test]
+fn no_event_is_scheduled_into_the_past() {
+    use umtslab::umtslab_traffic::SwitchingPolicy;
+    use umtslab::{run_switching_policy, CrosslayerConfig};
+
+    // Debug builds panic on a past schedule; release builds clamp it to
+    // "now" and count it. Either way a correct run counts none.
+    let paper = run_experiment(short_cfg(PathKind::UmtsToEthernet, 5)).unwrap();
+    assert_eq!(paper.late_schedules, 0, "paper job");
+    let mut cell = CrosslayerConfig::new(SwitchingPolicy::Operator, 5);
+    cell.tcp.duration = Duration::from_secs(12);
+    let (_, tcp) = run_switching_policy(&cell).unwrap();
+    assert_eq!(tcp.late_schedules, 0, "TCP switching cell");
 }

@@ -38,12 +38,10 @@ use std::fmt::Write as _;
 use umtslab::experiment::{ExperimentConfig, PathKind, TwoNodeTestbed, INRIA_ADDR};
 use umtslab::prelude::*;
 use umtslab::umtslab_net::copy_counters;
+use umtslab_bench::history::{git_rev, regressions, Trajectory};
 
 const SEED: u64 = 42;
 const BENCH_PATH: &str = "BENCH_dataplane.json";
-/// The regression gate: pkts/s below this fraction of the previous
-/// same-mode entry fails the run.
-const GATE_FRACTION: f64 = 0.9;
 
 struct FlowReport {
     label: String,
@@ -114,22 +112,10 @@ fn run_flow_once(spec: FlowSpec, measure: Duration) -> FlowReport {
     }
 }
 
-/// The current git revision (short), or `unknown` outside a checkout.
-fn git_rev() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
-}
-
 /// Renders one history entry (one run) at the array's indent level.
 fn render_entry(git_rev: &str, quick: bool, reports: &[FlowReport]) -> String {
     let mut out = String::new();
-    out.push_str("    {\n");
+    out.push_str("{\n");
     let _ = writeln!(out, "      \"git_rev\": \"{git_rev}\",");
     let _ = writeln!(out, "      \"quick\": {quick},");
     out.push_str("      \"flows\": [\n");
@@ -153,54 +139,6 @@ fn render_entry(git_rev: &str, quick: bool, reports: &[FlowReport]) -> String {
     out
 }
 
-/// Renders the whole trajectory document from raw entry strings.
-fn render_json(entries: &[String]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"bench\": \"dataplane\",");
-    let _ = writeln!(out, "  \"seed\": {SEED},");
-    out.push_str("  \"history\": [\n");
-    out.push_str(&entries.join(",\n"));
-    out.push_str("\n  ]\n}\n");
-    out
-}
-
-/// Extracts the raw history entries (top-level objects of the `history`
-/// array) from a previously written trajectory document. Returns an empty
-/// list for a missing file or any shape this renderer didn't produce.
-fn load_history(text: &str) -> Vec<String> {
-    let Some(start) = text.find("\"history\": [") else {
-        return Vec::new();
-    };
-    let body = &text[start + "\"history\": [".len()..];
-    let mut entries = Vec::new();
-    let mut depth = 0usize;
-    let mut entry_start = None;
-    for (i, c) in body.char_indices() {
-        match c {
-            '{' => {
-                if depth == 0 {
-                    entry_start = Some(i);
-                }
-                depth += 1;
-            }
-            '}' => {
-                depth = depth.saturating_sub(1);
-                if depth == 0 {
-                    if let Some(s) = entry_start.take() {
-                        // Re-indent defensively: entries are stored at the
-                        // fixed 4-space level `render_entry` emits.
-                        entries.push(format!("    {}", body[s..=i].trim()));
-                    }
-                }
-            }
-            ']' if depth == 0 => break,
-            _ => {}
-        }
-    }
-    entries
-}
-
 /// Pulls `(flow label, pkts/s)` pairs out of one raw history entry.
 fn entry_flows(entry: &str) -> Vec<(String, f64)> {
     let mut out = Vec::new();
@@ -218,34 +156,13 @@ fn entry_flows(entry: &str) -> Vec<(String, f64)> {
     out
 }
 
-/// Checks the new reports against the last same-mode history entry.
-/// Returns the regression messages (empty = gate passes).
-fn regression_check(prior: &[String], quick: bool, reports: &[FlowReport]) -> Vec<String> {
-    let mode = format!("\"quick\": {quick},");
-    let Some(prev) = prior.iter().rev().find(|e| e.contains(&mode)) else {
-        return Vec::new();
-    };
-    let mut failures = Vec::new();
-    for (label, prev_pps) in entry_flows(prev) {
-        let Some(now) = reports.iter().find(|r| r.label == label) else {
-            continue;
-        };
-        if now.packets_per_sec < prev_pps * GATE_FRACTION {
-            failures.push(format!(
-                "{label}: {:.1} pkts/s is {:.1}% of the previous entry's {prev_pps:.1}",
-                now.packets_per_sec,
-                now.packets_per_sec / prev_pps * 100.0,
-            ));
-        }
-    }
-    failures
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
     let gate = !args.iter().any(|a| a == "--no-gate");
     let measure = if quick { Duration::from_secs(4) } else { Duration::from_secs(30) };
+    let mut history = Trajectory::load_or_exit(BENCH_PATH, "dataplane", SEED);
+    let prev = history.last_in_mode(quick).map(entry_flows).unwrap_or_default();
 
     println!(
         "dataplane bench: wired two-node path, seed {SEED}, {} mode",
@@ -272,11 +189,8 @@ fn main() {
         reports.push(r);
     }
 
-    let prior = std::fs::read_to_string(BENCH_PATH).map(|t| load_history(&t)).unwrap_or_default();
-    let mut entries = prior.clone();
-    entries.push(render_entry(&git_rev(), quick, &reports));
-    std::fs::write(BENCH_PATH, render_json(&entries)).expect("write BENCH_dataplane.json");
-    println!("appended history entry {} to {BENCH_PATH}", entries.len());
+    history.append(render_entry(&git_rev(), quick, &reports)).expect("write BENCH_dataplane.json");
+    println!("appended history entry {} to {BENCH_PATH}", history.entries().len());
 
     // Gate 1: the contract the zero-copy refactor guarantees — once a
     // packet is emitted, the wired forwarding path never copies its
@@ -295,7 +209,9 @@ fn main() {
     // Gate 2: throughput must not regress more than 10% against the last
     // same-mode trajectory entry.
     if gate {
-        let failures = regression_check(&prior, quick, &reports);
+        let now: Vec<(String, f64)> =
+            reports.iter().map(|r| (r.label.clone(), r.packets_per_sec)).collect();
+        let failures = regressions(&prev, &now, "pkts/s");
         if !failures.is_empty() {
             for f in &failures {
                 eprintln!("FAIL: throughput regression — {f}");

@@ -29,13 +29,11 @@
 use std::fmt::Write as _;
 
 use umtslab::fleet::FleetConfig;
+use umtslab_bench::history::{git_rev, regressions, Trajectory};
 use umtslab_runner::{default_workers, run_fleet_parallel};
 
 const SEED: u64 = 2008;
 const BENCH_PATH: &str = "BENCH_fleet.json";
-/// The regression gate: pkts/s below this fraction of the previous
-/// same-mode entry fails the run.
-const GATE_FRACTION: f64 = 0.9;
 
 /// Repetitions per shard count; the median wall time wins. The simulated
 /// work is identical each repetition (same seed), so they differ only in
@@ -92,22 +90,10 @@ fn run_shard_count(cfg: &FleetConfig) -> ShardReport {
     runs.swap_remove(REPS / 2)
 }
 
-/// The current git revision (short), or `unknown` outside a checkout.
-fn git_rev() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
-}
-
 /// Renders one history entry (one run) at the array's indent level.
 fn render_entry(git_rev: &str, quick: bool, reports: &[ShardReport]) -> String {
     let mut out = String::new();
-    out.push_str("    {\n");
+    out.push_str("{\n");
     let _ = writeln!(out, "      \"git_rev\": \"{git_rev}\",");
     let _ = writeln!(out, "      \"quick\": {quick},");
     out.push_str("      \"shard_counts\": [\n");
@@ -124,59 +110,19 @@ fn render_entry(git_rev: &str, quick: bool, reports: &[ShardReport]) -> String {
     out
 }
 
-/// Renders the whole trajectory document from raw entry strings.
-fn render_json(entries: &[String]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"bench\": \"fleet\",");
-    let _ = writeln!(out, "  \"seed\": {SEED},");
-    out.push_str("  \"history\": [\n");
-    out.push_str(&entries.join(",\n"));
-    out.push_str("\n  ]\n}\n");
-    out
+/// The gate's name for one shard count's figure.
+fn shard_key(shards: usize) -> String {
+    format!("{shards} shard(s)")
 }
 
-/// Extracts the raw history entries from a previously written trajectory
-/// document. Returns an empty list for a missing file or a foreign shape.
-fn load_history(text: &str) -> Vec<String> {
-    let Some(start) = text.find("\"history\": [") else {
-        return Vec::new();
-    };
-    let body = &text[start + "\"history\": [".len()..];
-    let mut entries = Vec::new();
-    let mut depth = 0usize;
-    let mut entry_start = None;
-    for (i, c) in body.char_indices() {
-        match c {
-            '{' => {
-                if depth == 0 {
-                    entry_start = Some(i);
-                }
-                depth += 1;
-            }
-            '}' => {
-                depth = depth.saturating_sub(1);
-                if depth == 0 {
-                    if let Some(s) = entry_start.take() {
-                        entries.push(format!("    {}", body[s..=i].trim()));
-                    }
-                }
-            }
-            ']' if depth == 0 => break,
-            _ => {}
-        }
-    }
-    entries
-}
-
-/// Pulls `(shards, pkts/s)` pairs out of one raw history entry.
-fn entry_shard_counts(entry: &str) -> Vec<(usize, f64)> {
+/// Pulls `(shard count, pkts/s)` pairs out of one raw history entry.
+fn entry_shard_counts(entry: &str) -> Vec<(String, f64)> {
     let mut out = Vec::new();
     let mut shards = None;
     for line in entry.lines() {
         let line = line.trim();
         if let Some(rest) = line.strip_prefix("\"shards\": ") {
-            shards = rest.trim_end_matches(',').parse::<usize>().ok();
+            shards = rest.trim_end_matches(',').parse::<usize>().ok().map(shard_key);
         } else if let Some(rest) = line.strip_prefix("\"packets_per_sec\": ") {
             if let (Some(s), Ok(v)) = (shards.take(), rest.trim_end_matches(',').parse::<f64>()) {
                 out.push((s, v));
@@ -186,34 +132,13 @@ fn entry_shard_counts(entry: &str) -> Vec<(usize, f64)> {
     out
 }
 
-/// Checks the new reports against the last same-mode history entry.
-/// Returns the regression messages (empty = gate passes).
-fn regression_check(prior: &[String], quick: bool, reports: &[ShardReport]) -> Vec<String> {
-    let mode = format!("\"quick\": {quick},");
-    let Some(prev) = prior.iter().rev().find(|e| e.contains(&mode)) else {
-        return Vec::new();
-    };
-    let mut failures = Vec::new();
-    for (shards, prev_pps) in entry_shard_counts(prev) {
-        let Some(now) = reports.iter().find(|r| r.shards == shards) else {
-            continue;
-        };
-        if now.packets_per_sec < prev_pps * GATE_FRACTION {
-            failures.push(format!(
-                "{shards} shard(s): {:.1} pkts/s is {:.1}% of the previous entry's {prev_pps:.1}",
-                now.packets_per_sec,
-                now.packets_per_sec / prev_pps * 100.0,
-            ));
-        }
-    }
-    failures
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
     let gate = !args.iter().any(|a| a == "--no-gate");
 
+    let mut history = Trajectory::load_or_exit(BENCH_PATH, "fleet", SEED);
+    let prev = history.last_in_mode(quick).map(entry_shard_counts).unwrap_or_default();
     let base = bench_config(quick);
     let shard_counts: &[usize] = if quick { &[1, 2] } else { &[1, 2, 4, 8] };
     println!(
@@ -240,11 +165,8 @@ fn main() {
         reports.push(r);
     }
 
-    let prior = std::fs::read_to_string(BENCH_PATH).map(|t| load_history(&t)).unwrap_or_default();
-    let mut entries = prior.clone();
-    entries.push(render_entry(&git_rev(), quick, &reports));
-    std::fs::write(BENCH_PATH, render_json(&entries)).expect("write BENCH_fleet.json");
-    println!("appended history entry {} to {BENCH_PATH}", entries.len());
+    history.append(render_entry(&git_rev(), quick, &reports)).expect("write BENCH_fleet.json");
+    println!("appended history entry {} to {BENCH_PATH}", history.entries().len());
 
     // Gate 1: shard-count invariance — the whole point of the sharded
     // core. Any hash mismatch means partitioning leaked into results.
@@ -264,7 +186,9 @@ fn main() {
     // Gate 2: throughput must not regress more than 10% against the last
     // same-mode trajectory entry, per shard count.
     if gate {
-        let failures = regression_check(&prior, quick, &reports);
+        let now: Vec<(String, f64)> =
+            reports.iter().map(|r| (shard_key(r.shards), r.packets_per_sec)).collect();
+        let failures = regressions(&prev, &now, "pkts/s");
         if !failures.is_empty() {
             for f in &failures {
                 eprintln!("FAIL: throughput regression — {f}");

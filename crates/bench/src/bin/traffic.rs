@@ -28,15 +28,14 @@
 
 use std::fmt::Write as _;
 
+use umtslab::umtslab_sim::report::Fnv1a;
 use umtslab::umtslab_sim::time::Duration;
 use umtslab::umtslab_traffic::{PolicyReport, SwitchingPolicy};
 use umtslab::CrosslayerConfig;
+use umtslab_bench::history::{git_rev, regressions, Trajectory};
 
 const SEED: u64 = 2008;
 const BENCH_PATH: &str = "BENCH_traffic.json";
-/// The regression gate: segments/s below this fraction of the previous
-/// same-mode entry fails the run.
-const GATE_FRACTION: f64 = 0.9;
 
 /// Repetitions of the sweep; the median wall time wins. The simulated
 /// work is identical each repetition (same seed), so they differ only in
@@ -92,14 +91,12 @@ fn policy_row(r: &PolicyReport) -> String {
 
 /// FNV-1a over the canonical rows, one `\n` after each.
 fn report_hash(rows: &[PolicyReport]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut hash = Fnv1a::new();
     for row in rows {
-        for byte in policy_row(row).bytes().chain(std::iter::once(b'\n')) {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        hash.update(policy_row(row).as_bytes());
+        hash.update(b"\n");
     }
-    hash
+    hash.digest()
 }
 
 fn run_once(quick: bool) -> SweepReport {
@@ -142,22 +139,10 @@ fn run_sweep(quick: bool) -> SweepReport {
     runs.swap_remove(REPS / 2)
 }
 
-/// The current git revision (short), or `unknown` outside a checkout.
-fn git_rev() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
-}
-
 /// Renders one history entry (one run) at the array's indent level.
 fn render_entry(git_rev: &str, quick: bool, sweep: &SweepReport) -> String {
     let mut out = String::new();
-    out.push_str("    {\n");
+    out.push_str("{\n");
     let _ = writeln!(out, "      \"git_rev\": \"{git_rev}\",");
     let _ = writeln!(out, "      \"quick\": {quick},");
     let _ = writeln!(out, "      \"segments\": {},", sweep.segments);
@@ -179,79 +164,14 @@ fn render_entry(git_rev: &str, quick: bool, sweep: &SweepReport) -> String {
     out
 }
 
-/// Renders the whole trajectory document from raw entry strings.
-fn render_json(entries: &[String]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"bench\": \"traffic\",");
-    let _ = writeln!(out, "  \"seed\": {SEED},");
-    out.push_str("  \"history\": [\n");
-    out.push_str(&entries.join(",\n"));
-    out.push_str("\n  ]\n}\n");
-    out
-}
-
-/// Extracts the raw history entries from a previously written trajectory
-/// document. Returns an empty list for a missing file or a foreign shape.
-fn load_history(text: &str) -> Vec<String> {
-    let Some(start) = text.find("\"history\": [") else {
-        return Vec::new();
-    };
-    let body = &text[start + "\"history\": [".len()..];
-    let mut entries = Vec::new();
-    let mut depth = 0usize;
-    let mut entry_start = None;
-    for (i, c) in body.char_indices() {
-        match c {
-            '{' => {
-                if depth == 0 {
-                    entry_start = Some(i);
-                }
-                depth += 1;
-            }
-            '}' => {
-                depth = depth.saturating_sub(1);
-                if depth == 0 {
-                    if let Some(s) = entry_start.take() {
-                        entries.push(format!("    {}", body[s..=i].trim()));
-                    }
-                }
-            }
-            ']' if depth == 0 => break,
-            _ => {}
-        }
-    }
-    entries
-}
-
 /// Pulls the sweep-level segments/s figure out of one raw history entry.
-fn entry_segments_per_sec(entry: &str) -> Option<f64> {
-    entry.lines().find_map(|line| {
+fn entry_segments_per_sec(entry: &str) -> Vec<(String, f64)> {
+    let rate = entry.lines().find_map(|line| {
         line.trim()
             .strip_prefix("\"segments_per_sec\": ")
             .and_then(|rest| rest.trim_end_matches(',').parse::<f64>().ok())
-    })
-}
-
-/// Checks the new sweep against the last same-mode history entry.
-/// Returns the regression messages (empty = gate passes).
-fn regression_check(prior: &[String], quick: bool, sweep: &SweepReport) -> Vec<String> {
-    let mode = format!("\"quick\": {quick},");
-    let Some(prev) = prior.iter().rev().find(|e| e.contains(&mode)) else {
-        return Vec::new();
-    };
-    let Some(prev_sps) = entry_segments_per_sec(prev) else {
-        return Vec::new();
-    };
-    if sweep.segments_per_sec < prev_sps * GATE_FRACTION {
-        vec![format!(
-            "{:.1} segments/s is {:.1}% of the previous entry's {prev_sps:.1}",
-            sweep.segments_per_sec,
-            sweep.segments_per_sec / prev_sps * 100.0,
-        )]
-    } else {
-        Vec::new()
-    }
+    });
+    rate.map(|v| ("sweep".to_string(), v)).into_iter().collect()
 }
 
 fn main() {
@@ -259,6 +179,8 @@ fn main() {
     let quick = args.iter().any(|a| a == "--quick");
     let gate = !args.iter().any(|a| a == "--no-gate");
 
+    let mut history = Trajectory::load_or_exit(BENCH_PATH, "traffic", SEED);
+    let prev = history.last_in_mode(quick).map(entry_segments_per_sec).unwrap_or_default();
     let horizon = if quick { 10 } else { 30 };
     println!(
         "traffic bench: {} policy cells x {horizon} s TCP horizon, seed {SEED}, {} mode",
@@ -290,16 +212,14 @@ fn main() {
 
     assert!(sweep.segments > 0, "traffic sweep delivered no segments");
 
-    let prior = std::fs::read_to_string(BENCH_PATH).map(|t| load_history(&t)).unwrap_or_default();
-    let mut entries = prior.clone();
-    entries.push(render_entry(&git_rev(), quick, &sweep));
-    std::fs::write(BENCH_PATH, render_json(&entries)).expect("write BENCH_traffic.json");
-    println!("appended history entry {} to {BENCH_PATH}", entries.len());
+    history.append(render_entry(&git_rev(), quick, &sweep)).expect("write BENCH_traffic.json");
+    println!("appended history entry {} to {BENCH_PATH}", history.entries().len());
 
     // Gate: segments/s must not regress more than 10% against the last
     // same-mode trajectory entry.
     if gate {
-        let failures = regression_check(&prior, quick, &sweep);
+        let now = [("sweep".to_string(), sweep.segments_per_sec)];
+        let failures = regressions(&prev, &now, "segments/s");
         if !failures.is_empty() {
             for f in &failures {
                 eprintln!("FAIL: throughput regression — {f}");

@@ -19,6 +19,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod history;
+
 use std::time::Instant;
 
 /// The timing result of one benchmark.

@@ -29,6 +29,7 @@ use umtslab_ditg::FlowSpec;
 use umtslab_net::link::LinkConfig;
 use umtslab_net::wire::{Ipv4Address, Ipv4Cidr};
 use umtslab_planetlab::umtscmd::UmtsRequest;
+use umtslab_sim::report::Fnv1a;
 use umtslab_sim::time::{Duration, Instant};
 use umtslab_umts::at::DeviceProfile;
 use umtslab_umts::operator::OperatorProfile;
@@ -119,6 +120,9 @@ pub struct FleetReport {
     /// Events the shards' schedulers clamped because they were scheduled
     /// into the past; 0 in a correct run. Not part of `trace_hash`.
     pub late_schedules: u64,
+    /// Cross-shard handoffs clamped because they reached their shard
+    /// late; 0 in a correct run. Not part of `trace_hash`.
+    pub late_handoffs: u64,
 }
 
 /// The three fleet operators: the paper's profiles widened to
@@ -280,7 +284,7 @@ pub fn run_fleet_with(
 fn report(cfg: &FleetConfig, fleet: &mut Fleet) -> FleetReport {
     let tb = &fleet.tb;
     let ppp_up = fleet.members.iter().filter(|&&id| tb.node(id).ppp_addr().is_some()).count();
-    let mut hash = Fnv::new();
+    let mut hash = Fnv1a::new();
     let mut sent = 0u64;
     let mut rtt_count = 0u64;
     for &tx in &fleet.senders {
@@ -309,9 +313,9 @@ fn report(cfg: &FleetConfig, fleet: &mut Fleet) -> FleetReport {
     }
     let metrics = tb.metrics();
     let metrics_json = render_metrics_json(&metrics);
-    hash.bytes(metrics_json.as_bytes());
+    hash.update(metrics_json.as_bytes());
     for &id in fleet.members.iter().take(cfg.trace_nodes) {
-        hash.bytes(tb.node(id).trace.dump().as_bytes());
+        hash.update(tb.node(id).trace.dump().as_bytes());
     }
     FleetReport {
         nodes: cfg.nodes,
@@ -323,8 +327,9 @@ fn report(cfg: &FleetConfig, fleet: &mut Fleet) -> FleetReport {
         rtt_count,
         metrics,
         metrics_json,
-        trace_hash: hash.finish(),
+        trace_hash: hash.digest(),
         late_schedules: tb.late_schedules(),
+        late_handoffs: tb.late_handoffs(),
     }
 }
 
@@ -369,30 +374,6 @@ pub fn render_metrics_json(m: &TestbedMetrics) -> String {
     )
 }
 
-/// FNV-1a, the workspace's standing determinism-hash idiom.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.bytes(&v.to_le_bytes());
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -409,6 +390,23 @@ mod tests {
         assert!(report.rtt_count > 0, "echoes came back over the downlink");
         assert!(report.metrics.uplink.served > 0, "probes rode the radio uplink");
         assert!(report.metrics_json.contains("\"uplink\""));
+    }
+
+    #[test]
+    fn every_probe_rides_the_umts_uplink() {
+        // The `AddDestination` route is submitted between two run calls;
+        // if the next run did not re-arm the members, it would wait for
+        // each node's next natural wake and early probes would leave over
+        // the wired path instead.
+        for shards in [1, 2] {
+            let cfg = FleetConfig { shards, ..FleetConfig::small() };
+            let report = run_fleet(&cfg);
+            assert!(report.sent > 0);
+            assert_eq!(
+                report.metrics.uplink.offered, report.sent,
+                "every probe must be offered to the radio uplink at {shards} shard(s)"
+            );
+        }
     }
 
     #[test]

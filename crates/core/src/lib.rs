@@ -47,6 +47,7 @@
 
 pub mod chaos;
 pub mod crosslayer;
+mod engine;
 pub mod experiment;
 pub mod fleet;
 pub mod paper;

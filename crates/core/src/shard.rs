@@ -32,35 +32,38 @@
 //! operator-edge→core hop for UMTS uplinks), so a handoff produced in
 //! window `k` is never due before window `k+1`.
 //!
-//! Relative to [`crate::testbed::Testbed`], the sharded core models one
-//! extra explicit latency: the operator-edge→core hop
-//! ([`ShardedTestbed::CORE_HOP`]). The single-testbed path schedules UMTS
-//! uplink packets at the core with zero delay, which would make the safe
-//! lookahead zero; a real GGSN's internet edge is not co-located with the
-//! research backbone either.
+//! ## One loop, two core policies
+//!
+//! A shard runs the same event loop as [`crate::testbed::Testbed`]
+//! (`crate::engine`, which also arms every node at the start of each
+//! run call). Only its core policy differs: per-node randomness and
+//! packet ids (above), routing through static tables of global owners
+//! into the outbox, and an explicit operator-edge→core hop
+//! ([`ShardedTestbed::CORE_HOP`]) where the testbed uses zero — which
+//! would make the safe lookahead zero; a real GGSN's internet edge is not
+//! co-located with the research backbone either.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use umtslab_ditg::{FlowSpec, TrafficReceiver, TrafficSender};
-use umtslab_net::bytes::BufferPool;
+use umtslab_ditg::{FlowSpec, RecvRecord, RttRecord, SentRecord, TrafficSender};
 use umtslab_net::label::Label;
-use umtslab_net::link::{DuplexLink, LinkConfig, PushOutcome};
+use umtslab_net::link::LinkConfig;
 use umtslab_net::mailbox::{Handoff, HandoffKind, Inbox, Outbox};
 use umtslab_net::packet::{Packet, PacketIdAllocator};
 use umtslab_net::wire::{Ipv4Address, Ipv4Cidr};
-use umtslab_planetlab::node::{EgressAction, Node, ETH0};
+use umtslab_planetlab::node::Node;
 use umtslab_planetlab::slice::SliceId;
-use umtslab_sim::event::EventHandle;
 use umtslab_sim::rng::{job_seed, SimRng};
 use umtslab_sim::sched::Scheduler;
 use umtslab_sim::shard::{drive, ShardScheduler};
 use umtslab_sim::time::{Duration, Instant};
 use umtslab_umts::at::DeviceProfile;
-use umtslab_umts::attachment::{DownlinkOutcome, UmtsAttachment};
+use umtslab_umts::attachment::UmtsAttachment;
 use umtslab_umts::operator::OperatorProfile;
 use umtslab_umts::ppp::Credentials;
 
+use crate::engine::{carve_subscriber, CorePolicy, Engine, Ev, SenderAgent, ROUTED_SRC};
 use crate::testbed::{TestbedDrops, TestbedMetrics};
 
 /// Handle to a node of a [`ShardedTestbed`] (its global index).
@@ -100,307 +103,95 @@ impl RouteTables {
     }
 }
 
-enum Ev {
-    /// Re-poll a node's internal machinery.
-    NodeWake(usize),
-    /// A packet reached a node's `eth0` over its access link.
-    NodeArrive { node: usize, packet: Packet },
-    /// A handed-off packet is at the core, taking its destination leg.
-    CoreDeliver { node: usize, kind: HandoffKind, packet: Packet },
-    /// A traffic sender's next departure.
-    AgentSend(usize),
-}
-
-enum AgentSlot {
-    Sender { node: usize, slice: SliceId, agent: TrafficSender },
-    Receiver { agent: TrafficReceiver },
-}
-
-/// One partition of a [`ShardedTestbed`]: a scheduler plus the complete
-/// state of the nodes it owns.
-pub struct Shard {
+/// A shard's core policy: per-node streams, table routing into the
+/// outbox, and the explicit operator-edge hop.
+struct Partition {
     /// This shard's index and the total shard count (the partition is
     /// `global % nshards == shard`, so `local = global / nshards`).
     shard: usize,
     nshards: usize,
-    core_hop: Duration,
-    sched: Scheduler<Ev>,
-    nodes: Vec<Node>,
-    access: Vec<DuplexLink>,
     /// Per-node RNG driving that node's access-link jitter/fault draws.
     /// Seeded from the node's global index: shard-layout invariant.
     link_rng: Vec<SimRng>,
     /// Per-node packet-id allocator (ids appear in traces; a shared
     /// allocator would leak shard layout into them).
     ids: Vec<PacketIdAllocator>,
-    wake_armed: Vec<Option<(Instant, EventHandle)>>,
-    agents: Vec<AgentSlot>,
-    /// Receiver lookup: (local node, port) → local agent index.
-    rx_ports: BTreeMap<(usize, u16), usize>,
-    /// Sender lookup for echo replies: (local node, port) → local agent.
-    tx_ports: BTreeMap<(usize, u16), usize>,
     routes: Arc<RouteTables>,
     outbox: Outbox,
+}
+
+impl CorePolicy for Partition {
+    const EDGE_HOP: Duration = ShardedTestbed::CORE_HOP;
+
+    fn link_rng(&mut self, node: usize) -> &mut SimRng {
+        &mut self.link_rng[node]
+    }
+
+    fn ids(&mut self, node: usize) -> &mut PacketIdAllocator {
+        &mut self.ids[node]
+    }
+
+    fn cross(&mut self, _: &mut Scheduler<Ev>, at: Instant, origin: usize, p: Packet) -> bool {
+        let Some((dst, kind)) = self.routes.lookup(p.dst.addr) else {
+            return false;
+        };
+        // Mailbox lanes are keyed by the origin's global index.
+        self.outbox.push(at, (origin * self.nshards + self.shard) as u32, dst, kind, p);
+        true
+    }
+}
+
+/// One partition of a [`ShardedTestbed`]: a scheduler plus the complete
+/// state of the nodes it owns.
+pub struct Shard {
+    engine: Engine<Partition>,
     inbox: Inbox,
-    drops: TestbedDrops,
-    pool: BufferPool,
-    started: bool,
+    /// Handoffs that reached this shard after their due instant and were
+    /// clamped into the present; 0 in a correct run.
+    late_handoffs: u64,
 }
 
 impl Shard {
-    fn new(shard: usize, nshards: usize, core_hop: Duration) -> Shard {
-        Shard {
+    fn new(shard: usize, nshards: usize) -> Shard {
+        let policy = Partition {
             shard,
             nshards,
-            core_hop,
-            sched: Scheduler::new(),
-            nodes: Vec::new(),
-            access: Vec::new(),
             link_rng: Vec::new(),
             ids: Vec::new(),
-            wake_armed: Vec::new(),
-            agents: Vec::new(),
-            rx_ports: BTreeMap::new(),
-            tx_ports: BTreeMap::new(),
             routes: Arc::new(RouteTables::default()),
             outbox: Outbox::new(),
-            inbox: Inbox::new(),
-            drops: TestbedDrops::default(),
-            pool: BufferPool::new(),
-            started: false,
-        }
+        };
+        Shard { engine: Engine::new(policy), inbox: Inbox::new(), late_handoffs: 0 }
     }
-
-    /// The global index of local node `local`.
-    fn global_of(&self, local: usize) -> u32 {
-        (local * self.nshards + self.shard) as u32
-    }
-
-    fn add_node(&mut self, node: Node, access: LinkConfig, seed: u64) {
-        self.nodes.push(node);
-        self.access.push(DuplexLink::symmetric(access));
-        self.link_rng.push(SimRng::seed_from_u64(seed));
-        self.ids.push(PacketIdAllocator::new());
-        self.wake_armed.push(None);
-    }
-
-    fn add_sender(
-        &mut self,
-        local: usize,
-        slice: SliceId,
-        spec: FlowSpec,
-        dst_addr: Ipv4Address,
-        start: Instant,
-        flow_id: u32,
-        seed: u64,
-    ) {
-        let sport = spec.sport;
-        let agent =
-            TrafficSender::new(spec, flow_id, Ipv4Address::UNSPECIFIED, dst_addr, start, seed);
-        let _ = self.nodes[local].bind(slice, sport);
-        let idx = self.agents.len();
-        self.agents.push(AgentSlot::Sender { node: local, slice, agent });
-        self.tx_ports.insert((local, sport), idx);
-        self.sched.at(start.max(self.sched.now()), Ev::AgentSend(idx));
-    }
-
-    fn add_receiver(&mut self, local: usize, slice: SliceId, port: u16, flow_id: u32, echo: bool) {
-        let agent = TrafficReceiver::new(flow_id, echo);
-        let _ = self.nodes[local].bind(slice, port);
-        let idx = self.agents.len();
-        self.agents.push(AgentSlot::Receiver { agent });
-        self.rx_ports.insert((local, port), idx);
-    }
-
-    // --- event loop -----------------------------------------------------
 
     /// Schedules every staged handoff due before `horizon`, in canonical
     /// merge order (the scheduler's FIFO tie-break preserves it).
     fn inject_due(&mut self, horizon: Instant) {
+        let (shard, nshards) = (self.engine.policy.shard, self.engine.policy.nshards);
+        let now = self.engine.sched.now();
         for h in self.inbox.due_before(horizon) {
-            debug_assert_eq!(h.dst as usize % self.nshards, self.shard, "misrouted handoff");
-            debug_assert!(h.at >= self.sched.now(), "handoff due before the window it reached");
-            let local = h.dst as usize / self.nshards;
-            self.sched.at(
-                h.at.max(self.sched.now()),
-                Ev::CoreDeliver { node: local, kind: h.kind, packet: h.packet },
-            );
-        }
-    }
-
-    fn dispatch(&mut self, ev: Ev) {
-        let now = self.sched.now();
-        match ev {
-            Ev::NodeWake(i) => {
-                self.wake_armed[i] = None;
-                self.poll_node(now, i);
+            debug_assert_eq!(h.dst as usize % nshards, shard, "misrouted handoff");
+            debug_assert!(h.at >= now, "handoff due before the window it reached");
+            // Release builds clamp instead of panicking; count it so the
+            // gates can fail on it.
+            if h.at < now {
+                self.late_handoffs += 1;
             }
-            Ev::NodeArrive { node, packet } => {
-                let delivery = self.nodes[node].ingress(now, ETH0, packet);
-                if delivery.is_some() {
-                    self.flush_deliveries(now, node);
-                }
-                self.arm_node(node);
-            }
-            Ev::CoreDeliver { node, kind, packet } => self.core_deliver(now, node, kind, packet),
-            Ev::AgentSend(idx) => self.agent_send(now, idx),
+            let node = h.dst / nshards as u32;
+            let ev = Ev::CoreDeliver { node, kind: h.kind, packet: h.packet };
+            self.engine.sched.at(h.at.max(now), ev);
         }
-    }
-
-    fn agent_send(&mut self, now: Instant, idx: usize) {
-        let AgentSlot::Sender { node, slice, agent } = &mut self.agents[idx] else {
-            return;
-        };
-        let node_idx = *node;
-        let slice = *slice;
-        let Some(packet) = agent.emit(now, &mut self.ids[node_idx], &mut self.pool) else {
-            if let Some(next) = agent.next_departure() {
-                self.sched.at(next, Ev::AgentSend(idx));
-            }
-            return;
-        };
-        if let Some(next) = agent.next_departure() {
-            self.sched.at(next, Ev::AgentSend(idx));
-        }
-        self.egress(now, node_idx, slice, packet);
-    }
-
-    fn egress(&mut self, now: Instant, node_idx: usize, slice: SliceId, packet: Packet) {
-        match self.nodes[node_idx].send_from_slice(now, slice, packet) {
-            EgressAction::Wire { iface: _, packet } => self.push_forward(now, node_idx, packet),
-            EgressAction::Umts => self.arm_node(node_idx),
-            EgressAction::Local => self.flush_deliveries(now, node_idx),
-            EgressAction::Dropped(_) => self.drops.node_egress += 1,
-        }
-    }
-
-    /// Sends `packet` up `node_idx`'s access link toward the core; each
-    /// delivery becomes a handoff routed at the core's side of the link.
-    fn push_forward(&mut self, now: Instant, node_idx: usize, packet: Packet) {
-        let pipe = &mut self.access[node_idx].forward;
-        match pipe.push(now, packet, &mut self.link_rng[node_idx]) {
-            PushOutcome::Scheduled(deliveries) => {
-                for (at, p) in deliveries {
-                    self.stage_at_core(at, node_idx, p);
-                }
-            }
-            PushOutcome::Dropped { .. } => self.drops.node_egress += 1,
-        }
-    }
-
-    /// Routes a packet that reaches the core at `at` (originated by local
-    /// node `origin`) and stages the handoff toward its destination.
-    fn stage_at_core(&mut self, at: Instant, origin: usize, packet: Packet) {
-        let Some((dst, kind)) = self.routes.lookup(packet.dst.addr) else {
-            self.drops.core_unroutable += 1;
-            return;
-        };
-        let origin = self.global_of(origin);
-        self.outbox.push(at, origin, dst, kind, packet);
-    }
-
-    /// Delivers a handed-off packet arriving at the core into its
-    /// destination node (which lives on this shard).
-    fn core_deliver(&mut self, now: Instant, node: usize, kind: HandoffKind, packet: Packet) {
-        match kind {
-            HandoffKind::Wire => {
-                let pipe = &mut self.access[node].reverse;
-                match pipe.push(now, packet, &mut self.link_rng[node]) {
-                    PushOutcome::Scheduled(deliveries) => {
-                        for (at, p) in deliveries {
-                            self.sched.at(at, Ev::NodeArrive { node, packet: p });
-                        }
-                    }
-                    PushOutcome::Dropped { .. } => self.drops.core_unroutable += 1,
-                }
-            }
-            HandoffKind::Umts => match self.nodes[node].deliver_umts_downlink(now, packet) {
-                DownlinkOutcome::Queued => self.arm_node(node),
-                DownlinkOutcome::BlockedByFirewall => self.drops.operator_firewall += 1,
-                DownlinkOutcome::DroppedOverflow | DownlinkOutcome::NotConnected => {
-                    self.drops.umts_downlink += 1;
-                }
-            },
-        }
-    }
-
-    fn poll_node(&mut self, now: Instant, i: usize) {
-        let out = self.nodes[i].poll(now);
-        for p in out.to_internet {
-            // Operator edge → core: the explicit hop whose latency is
-            // part of the conservative lookahead.
-            self.stage_at_core(now + self.core_hop, i, p);
-        }
-        for p in out.wire_tx {
-            self.push_forward(now, i, p);
-        }
-        self.flush_deliveries(now, i);
-        self.arm_node(i);
-    }
-
-    fn flush_deliveries(&mut self, now: Instant, node_idx: usize) {
-        let deliveries = self.nodes[node_idx].take_delivered();
-        for d in deliveries {
-            let port = d.packet.dst.port;
-            if let Some(&aidx) = self.rx_ports.get(&(node_idx, port)) {
-                if let AgentSlot::Receiver { agent, .. } = &mut self.agents[aidx] {
-                    let echo =
-                        agent.on_receive(d.at, &d.packet, &mut self.ids[node_idx], &mut self.pool);
-                    self.pool.reclaim(d.packet.payload);
-                    if let Some(echo) = echo {
-                        let slice = d.slice;
-                        self.egress(now, node_idx, slice, echo);
-                    }
-                    continue;
-                }
-            }
-            if let Some(&aidx) = self.tx_ports.get(&(node_idx, port)) {
-                if let AgentSlot::Sender { agent, .. } = &mut self.agents[aidx] {
-                    agent.on_receive(d.at, &d.packet);
-                }
-            }
-            self.pool.reclaim(d.packet.payload);
-        }
-    }
-
-    fn arm_node(&mut self, i: usize) {
-        let Some(wake) = self.nodes[i].next_wakeup() else {
-            return;
-        };
-        let wake = wake.max(self.sched.now());
-        if let Some((armed, handle)) = self.wake_armed[i] {
-            if armed <= wake {
-                return;
-            }
-            self.sched.cancel(handle);
-        }
-        let handle = self.sched.at(wake, Ev::NodeWake(i));
-        self.wake_armed[i] = Some((wake, handle));
     }
 }
 
 impl ShardScheduler for Shard {
     fn now(&self) -> Instant {
-        self.sched.now()
+        self.engine.sched.now()
     }
 
     fn run_window(&mut self, horizon: Instant) {
-        if !self.started {
-            self.started = true;
-            #[cfg(debug_assertions)]
-            {
-                let findings: Vec<String> =
-                    self.nodes.iter().flat_map(umtslab_planetlab::Node::audit).collect();
-                debug_assert!(findings.is_empty(), "shard audit failed: {findings:?}");
-            }
-            for i in 0..self.nodes.len() {
-                self.arm_node(i);
-            }
-        }
         self.inject_due(horizon);
-        while let Some(ev) = self.sched.next_before(horizon) {
-            self.dispatch(ev);
-        }
+        self.engine.run_until(horizon);
     }
 }
 
@@ -416,9 +207,7 @@ pub struct ShardedTestbed {
     shards: Vec<Shard>,
     /// (shard, local index) of every global agent, in creation order.
     agent_dir: Vec<(usize, usize)>,
-    nodes_total: usize,
     routes: RouteTables,
-    routes_dirty: bool,
     /// Subscribers attached per operator name (global carve order).
     operator_subscribers: BTreeMap<Label, u32>,
     /// Minimum access-link delay seen so far; part of the lookahead.
@@ -437,25 +226,13 @@ impl ShardedTestbed {
         assert!(nshards >= 1, "at least one shard");
         ShardedTestbed {
             seed,
-            shards: (0..nshards).map(|s| Shard::new(s, nshards, Self::CORE_HOP)).collect(),
+            shards: (0..nshards).map(|s| Shard::new(s, nshards)).collect(),
             agent_dir: Vec::new(),
-            nodes_total: 0,
             routes: RouteTables::default(),
-            routes_dirty: true,
             operator_subscribers: BTreeMap::new(),
             min_access_delay: None,
             clock: Instant::ZERO,
         }
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Number of nodes across all shards.
-    pub fn node_count(&self) -> usize {
-        self.nodes_total
     }
 
     /// Current simulated time (all shards agree at window boundaries).
@@ -486,17 +263,18 @@ impl ShardedTestbed {
         access: LinkConfig,
     ) -> GlobalNodeId {
         assert!(access.delay > Duration::ZERO, "sharded access links need positive delay");
-        let global = self.nodes_total;
-        self.nodes_total += 1;
+        let global = self.shards.iter().map(|s| s.engine.nodes.len()).sum();
         let (shard, _) = self.shard_of(global);
         let mut node = Node::new(name);
         node.configure_eth(eth_addr, subnet, gateway);
         self.min_access_delay =
             Some(self.min_access_delay.map_or(access.delay, |d| d.min(access.delay)));
         let seed = job_seed(self.seed ^ DOMAIN_NODE, global as u64);
-        self.shards[shard].add_node(node, access, seed);
+        let engine = &mut self.shards[shard].engine;
+        engine.add_node(node, access);
+        engine.policy.link_rng.push(SimRng::seed_from_u64(seed));
+        engine.policy.ids.push(PacketIdAllocator::new());
         self.routes.eth.insert(u32::from_be_bytes(eth_addr.0), global as u32);
-        self.routes_dirty = true;
         GlobalNodeId(global)
     }
 
@@ -510,31 +288,24 @@ impl ShardedTestbed {
         device: DeviceProfile,
         credentials: Option<Credentials>,
     ) {
-        let index = self.operator_subscribers.entry(Label::intern(&operator.name)).or_insert(0);
-        if let Some(slice) = operator.pool.subnet(24, *index) {
-            operator.pool = slice;
-        }
-        *index += 1;
+        carve_subscriber(&mut self.operator_subscribers, &mut operator);
         let raw24 = u32::from_be_bytes(operator.pool.address().0) >> 8;
         self.routes.umts24.insert(raw24, node.0 as u32);
-        self.routes_dirty = true;
         let seed = job_seed(self.seed ^ DOMAIN_ATTACH, node.0 as u64);
-        let (shard, local) = self.shard_of(node.0);
-        let now = self.clock;
-        let att = UmtsAttachment::new(operator, device, credentials, seed, now);
-        self.shards[shard].nodes[local].attach_umts(att);
+        let att = UmtsAttachment::new(operator, device, credentials, seed, self.clock);
+        self.node_mut(node).attach_umts(att);
     }
 
     /// Shared access to a node.
     pub fn node(&self, id: GlobalNodeId) -> &Node {
         let (shard, local) = self.shard_of(id.0);
-        &self.shards[shard].nodes[local]
+        &self.shards[shard].engine.nodes[local]
     }
 
     /// Mutable access to a node (for slices, vsys, bindings).
     pub fn node_mut(&mut self, id: GlobalNodeId) -> &mut Node {
         let (shard, local) = self.shard_of(id.0);
-        &mut self.shards[shard].nodes[local]
+        &mut self.shards[shard].engine.nodes[local]
     }
 
     /// Adds a traffic sender on `node`/`slice` toward `dst_addr`; the
@@ -551,8 +322,12 @@ impl ShardedTestbed {
         let flow_id = global_agent as u32 + 1;
         let seed = job_seed(self.seed ^ DOMAIN_FLOW, global_agent as u64);
         let (shard, local) = self.shard_of(node.0);
-        self.agent_dir.push((shard, self.shards[shard].agents.len()));
-        self.shards[shard].add_sender(local, slice, spec, dst_addr, start, flow_id, seed);
+        let sport = spec.sport;
+        let agent = SenderAgent::OpenLoop(TrafficSender::new(
+            spec, flow_id, ROUTED_SRC, dst_addr, start, seed,
+        ));
+        let idx = self.shards[shard].engine.add_sender(local, slice, sport, agent, start);
+        self.agent_dir.push((shard, idx));
         GlobalAgentId(global_agent)
     }
 
@@ -568,75 +343,47 @@ impl ShardedTestbed {
     ) -> GlobalAgentId {
         let flow_id = of_sender.0 as u32 + 1;
         let (shard, local) = self.shard_of(node.0);
-        let global_agent = self.agent_dir.len();
-        self.agent_dir.push((shard, self.shards[shard].agents.len()));
-        self.shards[shard].add_receiver(local, slice, port, flow_id, echo);
-        GlobalAgentId(global_agent)
+        let idx = self.shards[shard].engine.add_receiver(local, slice, port, flow_id, echo);
+        self.agent_dir.push((shard, idx));
+        GlobalAgentId(self.agent_dir.len() - 1)
     }
 
     /// The sender-side logs of an agent.
-    pub fn sender_logs(
-        &self,
-        id: GlobalAgentId,
-    ) -> (&[umtslab_ditg::SentRecord], &[umtslab_ditg::RttRecord]) {
+    pub fn sender_logs(&self, id: GlobalAgentId) -> (&[SentRecord], &[RttRecord]) {
         let (shard, local) = self.agent_dir[id.0];
-        match &self.shards[shard].agents[local] {
-            AgentSlot::Sender { agent, .. } => (agent.sent(), agent.rtts()),
-            AgentSlot::Receiver { .. } => (&[], &[]),
-        }
+        self.shards[shard].engine.sender_logs(local)
     }
 
     /// The receive log of an agent.
-    pub fn receiver_records(&self, id: GlobalAgentId) -> &[umtslab_ditg::RecvRecord] {
+    pub fn receiver_records(&self, id: GlobalAgentId) -> &[RecvRecord] {
         let (shard, local) = self.agent_dir[id.0];
-        match &self.shards[shard].agents[local] {
-            AgentSlot::Receiver { agent } => agent.records(),
-            AgentSlot::Sender { .. } => &[],
-        }
+        self.shards[shard].engine.receiver_records(local)
     }
 
     /// Drop counters summed across shards (order-independent).
     pub fn drops(&self) -> TestbedDrops {
-        let mut d = TestbedDrops::default();
-        for s in &self.shards {
-            d.core_unroutable += s.drops.core_unroutable;
-            d.operator_firewall += s.drops.operator_firewall;
-            d.node_egress += s.drops.node_egress;
-            d.umts_downlink += s.drops.umts_downlink;
-        }
-        d
-    }
-
-    /// Total events processed across all shards' schedulers.
-    pub fn events_processed(&self) -> u64 {
-        self.shards.iter().map(|s| s.sched.events_processed()).sum()
+        self.metrics().drops
     }
 
     /// Events clamped into the present across all shards' schedulers
     /// (see `Scheduler::late_schedules`); 0 in a correct run.
     pub fn late_schedules(&self) -> u64 {
-        self.shards.iter().map(|s| s.sched.late_schedules()).sum()
+        self.shards.iter().map(|s| s.engine.sched.late_schedules()).sum()
+    }
+
+    /// Cross-shard handoffs that reached their shard after their due
+    /// instant and were clamped into the present; 0 in a correct run
+    /// (the lookahead guarantees it).
+    pub fn late_handoffs(&self) -> u64 {
+        self.shards.iter().map(|s| s.late_handoffs).sum()
     }
 
     /// Snapshots every layer's counters, summed across shards.
     pub fn metrics(&self) -> TestbedMetrics {
         let mut m = TestbedMetrics::default();
         for s in &self.shards {
-            for link in &s.access {
-                m.access.absorb(link.forward.stats());
-                m.access.absorb(link.reverse.stats());
-            }
-            for node in &s.nodes {
-                if let Some(att) = node.umts_attachment() {
-                    m.uplink.absorb(att.uplink_stats());
-                    m.downlink.absorb(att.downlink_stats());
-                    m.rrc_transitions += att.rrc_transitions();
-                    m.ppp_transitions += att.ppp_transitions();
-                }
-            }
+            s.engine.absorb_metrics(&mut m);
         }
-        m.drops = self.drops();
-        m.events = self.events_processed();
         m
     }
 
@@ -663,12 +410,13 @@ impl ShardedTestbed {
         if horizon <= self.clock {
             return;
         }
-        if self.routes_dirty {
-            self.routes_dirty = false;
-            let arc = Arc::new(self.routes.clone());
-            for s in &mut self.shards {
-                s.routes = Arc::clone(&arc);
-            }
+        // Publish the route tables and arm every node once per run call,
+        // before any handoff is injected (per window would re-walk every
+        // node every 6 ms).
+        let routes = Arc::new(self.routes.clone());
+        for s in &mut self.shards {
+            s.engine.policy.routes = Arc::clone(&routes);
+            s.engine.arm_all();
         }
         let lookahead = self.lookahead();
         let nshards = self.shards.len();
@@ -678,7 +426,7 @@ impl ShardedTestbed {
             // into canonical order before injecting.
             let mut batches: Vec<Vec<Handoff>> = (0..nshards).map(|_| Vec::new()).collect();
             for s in shards.iter_mut() {
-                for h in s.outbox.take() {
+                for h in s.engine.policy.outbox.take() {
                     batches[h.dst as usize % nshards].push(h);
                 }
             }
@@ -819,6 +567,30 @@ mod tests {
         let _tx = tb.add_sender(n1, s, spec, a("203.0.113.99"), Instant::ZERO);
         tb.run_until(Instant::from_secs(1));
         assert!(tb.drops().core_unroutable > 0);
+    }
+
+    #[test]
+    #[cfg(not(debug_assertions))]
+    fn late_handoffs_are_clamped_and_counted_in_release() {
+        use umtslab_net::packet::PacketId;
+        use umtslab_net::wire::Endpoint;
+
+        let (mut tb, _n1, n2) = wired_pair(1, 3);
+        tb.run_until(Instant::from_millis(10));
+        assert_eq!(tb.late_handoffs(), 0);
+        let dst = Endpoint::new(a("138.96.20.10"), 9);
+        let packet = Packet::udp(PacketId(1), dst, dst, Vec::new(), Instant::ZERO);
+        let late = Handoff {
+            at: Instant::from_millis(5),
+            origin: 0,
+            seq: 0,
+            dst: n2.0 as u32,
+            kind: HandoffKind::Wire,
+            packet,
+        };
+        tb.shards[0].inbox.accept(vec![late]);
+        tb.run_until(Instant::from_millis(20));
+        assert_eq!(tb.late_handoffs(), 1, "the clamp must be counted, not silent");
     }
 
     #[test]

@@ -7,6 +7,8 @@
 
 use std::fmt::Write;
 
+use umtslab_sim::report::escape_json;
+
 use crate::{Report, Rule};
 
 /// Renders the report as a human-readable table with excerpts and hints.
@@ -73,25 +75,6 @@ pub fn render_json(report: &Report) -> String {
         );
     }
     out.push_str("\n  ]\n}\n");
-    out
-}
-
-/// Escapes the handful of characters JSON strings cannot carry verbatim.
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
     out
 }
 

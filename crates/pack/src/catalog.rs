@@ -8,6 +8,8 @@
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
+use umtslab_sim::report::escape_json;
+
 use crate::schema::Pack;
 
 /// One catalog row: a pack file plus its decoded headline facts.
@@ -70,25 +72,6 @@ pub fn render_table(entries: &[CatalogEntry]) -> String {
         );
     }
     let _ = writeln!(out, "{} pack(s)", entries.len());
-    out
-}
-
-/// Escapes the handful of characters JSON strings cannot carry verbatim.
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
     out
 }
 

@@ -14,13 +14,16 @@
 //! deterministic schedulers, drives it on a worker pool, and prints the
 //! metrics summary plus a `trace_hash=` line (in `--json` mode the hash
 //! is a field of the JSON object instead); the hash is invariant under
-//! the shard and worker counts, which CI gates on. `pack` parses a pack
-//! document, runs every flow at every campaign seed (`--quick`: first
-//! seed only; `--shards N`: N runs in flight at once), diffs the
-//! measured metrics against the pack's stored goldens and exits nonzero
-//! on drift. `--record` re-runs everything and rewrites the file
-//! canonically with freshly measured goldens; `--check` only verifies
-//! the round-trip byte-identity guarantee without running anything.
+//! the shard and worker counts, which CI gates on. `run` exits nonzero
+//! if any event was scheduled into the past or any cross-shard handoff
+//! arrived late (release builds clamp both instead of panicking).
+//! `pack` parses a pack document, runs every flow at every campaign
+//! seed (`--quick`: first seed only; `--shards N`: N runs in flight at
+//! once), diffs the measured metrics against the pack's stored goldens
+//! and exits nonzero on drift. `--record` re-runs everything and
+//! rewrites the file canonically with freshly measured goldens;
+//! `--check` only verifies the round-trip byte-identity guarantee
+//! without running anything.
 //! `traffic` runs the INRIA cross-layer scenario: a congestion-controlled
 //! TCP flow on the UMTS uplink under every FACH/DCH switching policy,
 //! each policy × seed cell an independent seeded experiment fanned
@@ -41,6 +44,7 @@ use umtslab_pack::{
     render_json, render_table, run_one, serialize, Pack, RunOutcome,
 };
 use umtslab_runner::{run_fleet_parallel, run_jobs, MetricsRegistry};
+use umtslab_sim::report::{escape_json, Fnv1a};
 use umtslab_sim::time::Duration;
 
 fn usage() -> ExitCode {
@@ -144,24 +148,17 @@ fn cmd_run(args: &[String]) -> ExitCode {
         );
         println!("trace_hash=0x{:016x}", report.trace_hash);
     }
-    ExitCode::SUCCESS
-}
-
-/// Escapes a string for the hand-rolled JSON output.
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
+    // Release builds clamp a past schedule or a late handoff instead of
+    // panicking; either means the lookahead contract broke, so the run
+    // fails even though its hash was printed.
+    if report.late_schedules != 0 || report.late_handoffs != 0 {
+        eprintln!(
+            "error: {} late schedule(s), {} late handoff(s)",
+            report.late_schedules, report.late_handoffs
+        );
+        return ExitCode::FAILURE;
     }
-    out
+    ExitCode::SUCCESS
 }
 
 fn cmd_pack(args: &[String]) -> ExitCode {
@@ -400,14 +397,12 @@ fn traffic_row(r: &umtslab::umtslab_traffic::PolicyReport) -> String {
 /// FNV-1a over the canonical report rows: invariant under
 /// `--shards`/`--workers` because rows are assembled in plan order.
 fn traffic_hash(rows: &[String]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut h = Fnv1a::new();
     for row in rows {
-        for b in row.bytes().chain([b'\n']) {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        h.update(row.as_bytes());
+        h.update(b"\n");
     }
-    h
+    h.digest()
 }
 
 fn cmd_traffic(args: &[String]) -> ExitCode {

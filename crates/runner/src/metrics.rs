@@ -16,6 +16,7 @@ use std::sync::Mutex;
 
 use umtslab::umtslab_supervisor::metrics::AvailabilityMetrics;
 use umtslab::TestbedMetrics;
+use umtslab_sim::report::escape_json;
 
 /// Per-job session-availability gauges, as published by a supervised
 /// (chaos) job. Plain numbers so the registry renders without reaching
@@ -419,25 +420,6 @@ impl MetricsRegistry {
         out.push_str("\n  ]\n}\n");
         out
     }
-}
-
-/// Escapes the handful of characters JSON strings cannot carry verbatim.
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

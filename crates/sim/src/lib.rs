@@ -11,6 +11,8 @@
 //! * [`rng`] — a forkable, seeded PRNG ([`rng::SimRng`]) with the samplers
 //!   used across the workspace (uniform, exponential, normal, Pareto,
 //!   Cauchy, Bernoulli);
+//! * [`report`] — the one FNV-1a hasher and JSON string escaper every
+//!   report and determinism gate shares;
 //! * [`sched`] — the [`sched::Scheduler`] driver binding a clock to the
 //!   queue, designed for an explicit caller-owned dispatch loop.
 //!
@@ -45,12 +47,14 @@
 #![warn(missing_docs)]
 
 pub mod event;
+pub mod report;
 pub mod rng;
 pub mod sched;
 pub mod shard;
 pub mod time;
 
 pub use event::{EventHandle, EventQueue};
+pub use report::{escape_json, Fnv1a};
 pub use rng::SimRng;
 pub use sched::Scheduler;
 pub use shard::{drive, drive_serial, window_ends, ShardId, ShardScheduler};

@@ -107,13 +107,9 @@ fn trace_dumps_are_byte_identical_across_same_seed_runs() {
         dump.push_str(&env.tb.node(env.inria).trace.dump());
         assert!(!dump.is_empty(), "trace must record events");
 
-        // FNV-1a over the raw dump bytes.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in dump.bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
+        let mut h = umtslab::umtslab_sim::Fnv1a::new();
+        h.update(dump.as_bytes());
+        h.digest()
     }
 
     let a = traced_run(7);
@@ -193,6 +189,7 @@ fn fleet_topology_is_shard_count_invariant() {
     let reference = run_fleet(&FleetConfig::small());
     assert!(reference.sent > 0, "fleet must carry traffic");
     assert_eq!(reference.late_schedules, 0, "an event was scheduled into the past");
+    assert_eq!(reference.late_handoffs, 0, "a handoff reached its shard late");
     for shards in [2usize, 4, 8] {
         let mut cfg = FleetConfig::small();
         cfg.shards = shards;
@@ -201,6 +198,7 @@ fn fleet_topology_is_shard_count_invariant() {
             r.late_schedules, 0,
             "an event was scheduled into the past at {shards} shard(s)"
         );
+        assert_eq!(r.late_handoffs, 0, "a handoff reached its shard late at {shards} shard(s)");
         assert_eq!(r.trace_hash, reference.trace_hash, "trace hash diverged at {shards} shard(s)");
         assert_eq!(
             r.metrics_json, reference.metrics_json,

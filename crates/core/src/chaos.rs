@@ -78,6 +78,10 @@ pub struct ChaosReport {
     pub ended_up: bool,
     /// Whole-flow summary of the VoIP probe.
     pub summary: FlowSummary,
+    /// Events the campaign's scheduler clamped because they were
+    /// scheduled into the past
+    /// ([`crate::testbed::Testbed::late_schedules`]); 0 in a correct run.
+    pub late_schedules: u64,
 }
 
 impl ChaosReport {
@@ -154,7 +158,9 @@ pub fn run_chaos_campaign(
     let recv = env.tb.receiver_records(rx);
     let summary = Decoder::with_window(experiment.window).summary(sent, recv, rtts);
 
-    ChaosReport { availability, faults, lifecycle, ended_up, summary }
+    let late_schedules = env.tb.late_schedules();
+
+    ChaosReport { availability, faults, lifecycle, ended_up, summary, late_schedules }
 }
 
 #[cfg(test)]

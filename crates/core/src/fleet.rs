@@ -91,6 +91,12 @@ impl FleetConfig {
     pub fn flows(&self) -> usize {
         self.nodes * self.flows_per_node
     }
+
+    /// The instant a run ends: the settle, the probe span (starts are
+    /// staggered over one second) and a drain for late echoes.
+    pub fn horizon(&self) -> Instant {
+        MEASURE_START + Duration::from_secs(self.seconds) + Duration::from_secs(1) + DRAIN
+    }
 }
 
 /// What one fleet run measured.
@@ -123,6 +129,9 @@ pub struct FleetReport {
     /// Cross-shard handoffs clamped because they reached their shard
     /// late; 0 in a correct run. Not part of `trace_hash`.
     pub late_handoffs: u64,
+    /// Conservative windows run over the whole simulation (idle ones are
+    /// skipped); the same at every shard count. Not part of `trace_hash`.
+    pub windows: u64,
 }
 
 /// The three fleet operators: the paper's profiles widened to
@@ -276,8 +285,7 @@ pub fn run_fleet_with(
     mut run: impl FnMut(&mut [Shard], Instant),
 ) -> FleetReport {
     let mut fleet = build(cfg);
-    let end = MEASURE_START + Duration::from_secs(cfg.seconds) + Duration::from_secs(1) + DRAIN;
-    fleet.tb.run_until_with(end, &mut run);
+    fleet.tb.run_until_with(cfg.horizon(), &mut run);
     report(cfg, &mut fleet)
 }
 
@@ -330,6 +338,7 @@ fn report(cfg: &FleetConfig, fleet: &mut Fleet) -> FleetReport {
         trace_hash: hash.digest(),
         late_schedules: tb.late_schedules(),
         late_handoffs: tb.late_handoffs(),
+        windows: tb.windows(),
     }
 }
 

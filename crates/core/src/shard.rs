@@ -25,7 +25,12 @@
 //!   layout-invariant but its global index is;
 //! * **window boundaries** sit on fixed multiples of the lookahead
 //!   ([`umtslab_sim::shard::window_ends`]), so injection instants do not
-//!   move when the shard count or run phasing changes.
+//!   move when the shard count or run phasing changes. Windows in which
+//!   no shard has an event or a staged handoff are skipped
+//!   ([`Shard`]'s `next_due` is its next event or inbox entry); the
+//!   windows that run keep their grid boundaries, and which ones run
+//!   depends on the whole simulation, not on the partition
+//!   ([`ShardedTestbed::windows`] is the same at every shard count).
 //!
 //! The conservative lookahead is `min(access link delay, core hop)`: every
 //! cross-node path takes at least one access-link traversal (or the
@@ -189,6 +194,10 @@ impl ShardScheduler for Shard {
         self.engine.sched.now()
     }
 
+    fn next_due(&mut self) -> Option<Instant> {
+        self.engine.sched.peek_time().into_iter().chain(self.inbox.earliest()).min()
+    }
+
     fn run_window(&mut self, horizon: Instant) {
         self.inject_due(horizon);
         self.engine.run_until(horizon);
@@ -213,6 +222,8 @@ pub struct ShardedTestbed {
     /// Minimum access-link delay seen so far; part of the lookahead.
     min_access_delay: Option<Duration>,
     clock: Instant,
+    /// Windows run so far, over every run call.
+    windows: u64,
 }
 
 impl ShardedTestbed {
@@ -232,6 +243,7 @@ impl ShardedTestbed {
             operator_subscribers: BTreeMap::new(),
             min_access_delay: None,
             clock: Instant::ZERO,
+            windows: 0,
         }
     }
 
@@ -378,6 +390,14 @@ impl ShardedTestbed {
         self.shards.iter().map(|s| s.late_handoffs).sum()
     }
 
+    /// Windows run so far, over every run call: the grid windows in which
+    /// some shard had an event or a staged handoff, plus one final window
+    /// per call whose last grid window was idle. Shard-count invariant;
+    /// not part of [`TestbedMetrics`].
+    pub fn windows(&self) -> u64 {
+        self.windows
+    }
+
     /// Snapshots every layer's counters, summed across shards.
     pub fn metrics(&self) -> TestbedMetrics {
         let mut m = TestbedMetrics::default();
@@ -404,8 +424,10 @@ impl ShardedTestbed {
 
     /// Runs until `horizon`, letting the caller fan each window out over
     /// the shards (`run(shards, end)` must advance every shard to `end`;
-    /// order and parallelism are free). Message exchange happens here, on
-    /// the caller's thread, at every boundary.
+    /// order and parallelism are free). `run` is called only for the
+    /// windows in which something is due, and once more to reach the
+    /// horizon if the last of them ends before it. Message exchange
+    /// happens here, on the caller's thread, at every boundary.
     pub fn run_until_with(&mut self, horizon: Instant, run: impl FnMut(&mut [Shard], Instant)) {
         if horizon <= self.clock {
             return;
@@ -420,7 +442,7 @@ impl ShardedTestbed {
         }
         let lookahead = self.lookahead();
         let nshards = self.shards.len();
-        drive(&mut self.shards, self.clock, horizon, lookahead, run, |shards, _end| {
+        let ran = drive(&mut self.shards, self.clock, horizon, lookahead, run, |shards, _end| {
             // Exchange: route every staged handoff to its owning shard's
             // inbox. Collection order is irrelevant — each inbox re-sorts
             // into canonical order before injecting.
@@ -436,6 +458,7 @@ impl ShardedTestbed {
                 }
             }
         });
+        self.windows += ran;
         self.clock = horizon;
     }
 }

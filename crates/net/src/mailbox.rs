@@ -132,6 +132,11 @@ impl Inbox {
         due
     }
 
+    /// The earliest due instant among the staged handoffs, if any.
+    pub fn earliest(&self) -> Option<Instant> {
+        self.staged.iter().map(|h| h.at).min()
+    }
+
     /// Number of handoffs still staged.
     pub fn len(&self) -> usize {
         self.staged.len()
@@ -265,15 +270,18 @@ mod tests {
                 packet: pkt(&mut ids),
             },
         ]);
+        assert_eq!(inbox.earliest(), Some(near));
         let due = inbox.due_before(Instant::from_millis(20));
         assert_eq!(due.len(), 1);
         assert_eq!(due[0].at, near);
         assert_eq!(inbox.len(), 1);
+        assert_eq!(inbox.earliest(), Some(far));
         // A handoff due exactly at the horizon stays staged for the
         // window that owns it.
         let due = inbox.due_before(far);
         assert!(due.is_empty());
         assert_eq!(inbox.due_before(far + Duration::from_millis(1)).len(), 1);
         assert!(inbox.is_empty());
+        assert_eq!(inbox.earliest(), None);
     }
 }

@@ -12,11 +12,12 @@
 //!
 //! `run` builds one coupled fleet topology partitioned across `--shards`
 //! deterministic schedulers, drives it on a worker pool, and prints the
-//! metrics summary plus a `trace_hash=` line (in `--json` mode the hash
-//! is a field of the JSON object instead); the hash is invariant under
-//! the shard and worker counts, which CI gates on. `run` exits nonzero
-//! if any event was scheduled into the past or any cross-shard handoff
-//! arrived late (release builds clamp both instead of panicking).
+//! metrics summary plus `windows=` and `trace_hash=` lines (in `--json`
+//! mode both are fields of the JSON object instead); the window count
+//! and the hash are invariant under the shard and worker counts, which
+//! CI gates on. `run` exits nonzero if any event was scheduled into the
+//! past or any cross-shard handoff arrived late (release builds clamp
+//! both instead of panicking).
 //! `pack` parses a pack document, runs every flow at every campaign
 //! seed (`--quick`: first seed only; `--shards N`: N runs in flight at
 //! once), diffs the measured metrics against the pack's stored goldens
@@ -133,7 +134,10 @@ fn cmd_run(args: &[String]) -> ExitCode {
         // the greppable trailing line, which CI's shard gate matches.
         let body = registry.to_json();
         let rest = body.strip_prefix("{\n").expect("registry JSON opens an object");
-        print!("{{\n  \"trace_hash\": \"0x{:016x}\",\n{rest}", report.trace_hash);
+        print!(
+            "{{\n  \"trace_hash\": \"0x{:016x}\",\n  \"windows\": {},\n{rest}",
+            report.trace_hash, report.windows
+        );
     } else {
         print!("{}", registry.summary_table());
         println!(
@@ -146,6 +150,7 @@ fn cmd_run(args: &[String]) -> ExitCode {
             report.received,
             report.rtt_count
         );
+        println!("windows={}", report.windows);
         println!("trace_hash=0x{:016x}", report.trace_hash);
     }
     // Release builds clamp a past schedule or a late handoff instead of

@@ -60,7 +60,8 @@ where
         .collect()
 }
 
-/// Runs `f` over every job **in place** on a pool of `workers` threads.
+/// Runs `f` over every job **in place** on a pool of `workers` threads,
+/// the caller's thread being one of them.
 ///
 /// Like [`run_jobs`] but borrows the jobs mutably instead of consuming
 /// them — the shape the sharded testbed needs, where the same shards are
@@ -68,9 +69,13 @@ where
 /// called as `f(index, &mut job)`; each job is visited exactly once per
 /// call, by exactly one thread.
 ///
-/// With `workers == 1` no thread is spawned at all: the jobs run as a
-/// plain in-order loop on the caller's thread, so the serial path has
-/// zero synchronization overhead per window.
+/// The call spawns `workers - 1` scoped threads and then pulls from the
+/// same queue itself, so a window on two workers costs one spawn and
+/// one join, and more jobs than workers (8 shards on 2 workers) still
+/// balance. A panic in any job — on a spawned thread or on the caller's
+/// — propagates to the caller once every thread has joined. With
+/// `workers == 1` nothing is spawned: the jobs run as a plain in-order
+/// loop on the caller's thread, with no synchronization at all.
 pub fn run_jobs_mut<J, F>(jobs: &mut [J], workers: usize, f: F)
 where
     J: Send,
@@ -88,15 +93,17 @@ where
         return;
     }
     let queue: Mutex<VecDeque<(usize, &mut J)>> = Mutex::new(jobs.iter_mut().enumerate().collect());
+    let work = || loop {
+        let Some((idx, job)) = queue.lock().expect("queue poisoned").pop_front() else {
+            return;
+        };
+        f(idx, job);
+    };
     std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let Some((idx, job)) = queue.lock().expect("queue poisoned").pop_front() else {
-                    return;
-                };
-                f(idx, job);
-            });
+        for _ in 1..workers {
+            scope.spawn(work);
         }
+        work();
     });
 }
 
@@ -151,6 +158,44 @@ mod tests {
         }
         let mut empty: Vec<u8> = Vec::new();
         run_jobs_mut(&mut empty, 4, |_, _| unreachable!());
+    }
+
+    #[test]
+    fn run_jobs_mut_handles_uneven_job_counts() {
+        for (n, workers) in [(5, 2), (5, 3), (2, 2)] {
+            let mut jobs: Vec<(u64, u32)> = (0..n).map(|j| (j, 0)).collect();
+            run_jobs_mut(&mut jobs, workers, |idx, (j, visits)| {
+                assert_eq!(idx as u64, *j);
+                *j += 100;
+                *visits += 1;
+            });
+            let expected: Vec<(u64, u32)> = (0..n).map(|j| (j + 100, 1)).collect();
+            assert_eq!(jobs, expected, "n={n} workers={workers}");
+        }
+    }
+
+    /// Runs two jobs on two workers, each thread holding one job (the
+    /// barrier keeps either from taking both), and panics in the job on
+    /// the caller's thread or in the one on the spawned thread.
+    fn panic_in_share(on_caller: bool) -> std::thread::Result<()> {
+        let caller = std::thread::current().id();
+        let both_taken = std::sync::Barrier::new(2);
+        let mut jobs = [0u8, 1];
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_jobs_mut(&mut jobs, 2, |_, _| {
+                both_taken.wait();
+                if (std::thread::current().id() == caller) == on_caller {
+                    panic!("job failed");
+                }
+            });
+        }))
+    }
+
+    #[test]
+    fn run_jobs_mut_propagates_a_panic_from_either_share() {
+        let caller = panic_in_share(true).expect_err("the caller's panic was swallowed");
+        assert_eq!(caller.downcast_ref::<&str>(), Some(&"job failed"));
+        assert!(panic_in_share(false).is_err(), "the spawned worker's panic was swallowed");
     }
 
     #[test]

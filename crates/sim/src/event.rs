@@ -193,6 +193,10 @@ impl<E> EventQueue<E> {
         (entry.at, entry.payload)
     }
 
+    // Forced inline: once `peek_time` gained a second caller the
+    // compiler outlined this, and `pop_before` paid a call per
+    // dispatched event (the fleet's event-bound settle ran ~4% slower).
+    #[inline(always)]
     fn skip_cancelled(&mut self) {
         while let Some(top) = self.heap.peek() {
             if self.generations[top.handle.slot()] == top.handle.generation() {

@@ -6,12 +6,16 @@
 //! session faults, with the supervisor redialing) and re-analyzes the
 //! Napoli node at every drop and every recovery checkpoint: any stale
 //! route, rule or filter left behind by a teardown/redial cycle shows up
-//! as a violation tagged with the checkpoint that exposed it. A run-twice
-//! hash over the availability metrics and the lifecycle marker trail
-//! doubles as the chaos determinism gate.
+//! as a violation tagged with the checkpoint that exposed it. The gate
+//! also fails if the campaign's scheduler clamped any event scheduled
+//! into the past (release builds clamp where debug builds assert). A
+//! run-twice hash over the availability metrics and the lifecycle marker
+//! trail doubles as the chaos determinism gate.
 
 use umtslab::chaos::{run_chaos_campaign, ChaosConfig, ChaosReport};
 use umtslab::umtslab_umts::attachment::SessionFault;
+
+use umtslab_sim::report::escape_json;
 
 use crate::determinism::{DeterminismCheck, Fnv1a};
 use crate::invariants::analyze;
@@ -37,10 +41,12 @@ pub struct ChaosCheck {
 impl ChaosCheck {
     /// True if the campaign meets the acceptance bar: enough faults
     /// fired, every drop was re-established, the run ended with the
-    /// session up, and no checkpoint found stale state or a leak.
+    /// session up, no checkpoint found stale state or a leak, and no
+    /// event was scheduled into the past.
     pub fn passed(&self) -> bool {
         let a = &self.report.availability;
         self.violations.is_empty()
+            && self.report.late_schedules == 0
             && self.report.ended_up
             && a.faults_injected >= 3
             && a.session_drops >= 1
@@ -58,6 +64,44 @@ impl ChaosCheck {
         kinds.len() >= 3
             && kinds.contains(&SessionFault::PppTerminate)
             && kinds.contains(&SessionFault::ModemHang)
+    }
+
+    /// The one-line human report (`chaos: faults=... -> pass`).
+    pub fn render_line(&self) -> String {
+        let a = &self.report.availability;
+        format!(
+            "chaos: faults={} established={} drops={} redials={} \
+             uptime={:.1}% checkpoints={} late_schedules={} -> {}",
+            a.faults_injected,
+            a.sessions_established,
+            a.session_drops,
+            a.redials,
+            a.uptime_fraction().unwrap_or(0.0) * 100.0,
+            self.checkpoints,
+            self.report.late_schedules,
+            if self.passed() { "pass" } else { "FAIL" }
+        )
+    }
+
+    /// The same report as one JSON object, violations included.
+    pub fn render_json(&self) -> String {
+        let a = &self.report.availability;
+        let violations: Vec<String> =
+            self.violations.iter().map(|v| format!("\"{}\"", escape_json(v))).collect();
+        format!(
+            "{{\"chaos\": {{\"faults\": {}, \"established\": {}, \"drops\": {}, \
+             \"redials\": {}, \"uptime\": {:.4}, \"checkpoints\": {}, \
+             \"late_schedules\": {}, \"violations\": [{}], \"passed\": {}}}}}",
+            a.faults_injected,
+            a.sessions_established,
+            a.session_drops,
+            a.redials,
+            a.uptime_fraction().unwrap_or(0.0),
+            self.checkpoints,
+            self.report.late_schedules,
+            violations.join(", "),
+            self.passed()
+        )
     }
 }
 
@@ -115,6 +159,57 @@ pub fn check(seed: u64) -> DeterminismCheck {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use umtslab::umtslab_ditg::FlowSummary;
+    use umtslab::umtslab_supervisor::faults::FaultEvent;
+    use umtslab::umtslab_supervisor::metrics::AvailabilityMetrics;
+    use umtslab_sim::time::Instant;
+
+    /// A check that meets every other part of the bar, with the given
+    /// late-schedule count.
+    fn clean_check(late_schedules: u64) -> ChaosCheck {
+        let faults =
+            [SessionFault::PppTerminate, SessionFault::ModemHang, SessionFault::RrcRelease]
+                .into_iter()
+                .enumerate()
+                .map(|(i, fault)| FaultEvent { at: Instant::from_secs(10 * (i as u64 + 1)), fault })
+                .collect();
+        let availability = AvailabilityMetrics {
+            faults_injected: 3,
+            session_drops: 3,
+            sessions_established: 4,
+            ..AvailabilityMetrics::default()
+        };
+        let summary = FlowSummary {
+            sent: 0,
+            received: 0,
+            lost: 0,
+            loss_rate: 0.0,
+            mean_bitrate_bps: 0.0,
+            mean_owd: None,
+            max_owd: None,
+            mean_jitter: None,
+            mean_rtt: None,
+            max_rtt: None,
+        };
+        let report = ChaosReport {
+            availability,
+            faults,
+            lifecycle: Vec::new(),
+            ended_up: true,
+            summary,
+            late_schedules,
+        };
+        ChaosCheck { report, violations: Vec::new(), checkpoints: 7 }
+    }
+
+    #[test]
+    fn a_late_schedule_fails_the_gate() {
+        assert!(clean_check(0).passed());
+        let late = clean_check(1);
+        assert!(!late.passed(), "a clamped past schedule must fail the chaos gate");
+        assert!(late.render_line().contains("late_schedules=1 -> FAIL"));
+        assert!(late.render_json().contains("\"late_schedules\": 1,"));
+    }
 
     #[test]
     fn chaos_gate_passes_on_the_default_seed() {

@@ -4,7 +4,7 @@
 //! umtslab-verify --all-scenarios [--json]   verify every canned scenario
 //! umtslab-verify --scenario NAME [--json]   verify one scenario
 //! umtslab-verify --determinism              run-twice campaign hash gate
-//! umtslab-verify --chaos                    supervised chaos campaign gate
+//! umtslab-verify --chaos [--json]           supervised chaos campaign gate
 //! umtslab-verify --chaos-determinism        run-twice chaos hash gate
 //! umtslab-verify --list                     list scenario names
 //! ```
@@ -13,7 +13,8 @@
 //! nodes clean, seeded bugs detected with exactly the expected invariant
 //! kinds) *and* every replayed witness agrees with the live simulator;
 //! 1 otherwise. `--determinism` exits 0 iff two full campaign runs hash
-//! identically.
+//! identically. `--chaos` exits 0 iff the campaign recovered every drop
+//! cleanly and scheduled no event into the past.
 
 use std::process::ExitCode;
 
@@ -84,7 +85,7 @@ fn print_help() {
         "umtslab-verify — static slice-isolation verifier\n\n\
          USAGE:\n  umtslab-verify --all-scenarios [--json]\n  \
          umtslab-verify --scenario NAME [--json]\n  \
-         umtslab-verify --determinism\n  umtslab-verify --chaos\n  \
+         umtslab-verify --determinism\n  umtslab-verify --chaos [--json]\n  \
          umtslab-verify --chaos-determinism\n  umtslab-verify --list\n\n\
          Scenarios: {}",
         SCENARIO_NAMES.join(", ")
@@ -153,20 +154,13 @@ fn main() -> ExitCode {
 
     if opts.chaos {
         let check = chaos::run(chaos::DEFAULT_SEED);
-        let a = check.report.availability;
-        println!(
-            "chaos: faults={} established={} drops={} redials={} \
-             uptime={:.1}% checkpoints={} -> {}",
-            a.faults_injected,
-            a.sessions_established,
-            a.session_drops,
-            a.redials,
-            a.uptime_fraction().unwrap_or(0.0) * 100.0,
-            check.checkpoints,
-            if check.passed() { "pass" } else { "FAIL" }
-        );
-        for v in &check.violations {
-            eprintln!("chaos violation: {v}");
+        if opts.json {
+            println!("{}", check.render_json());
+        } else {
+            println!("{}", check.render_line());
+            for v in &check.violations {
+                eprintln!("chaos violation: {v}");
+            }
         }
         return if check.passed() { ExitCode::SUCCESS } else { ExitCode::FAILURE };
     }

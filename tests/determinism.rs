@@ -180,6 +180,8 @@ fn same_operator_subscribers_dial_deterministically() {
 #[test]
 fn fleet_topology_is_shard_count_invariant() {
     use umtslab::fleet::{run_fleet, FleetConfig};
+    use umtslab::umtslab_sim::shard::window_ends;
+    use umtslab::ShardedTestbed;
 
     // The sharded-core contract: partitioning one coupled topology
     // across N deterministic schedulers must never change results. The
@@ -190,6 +192,16 @@ fn fleet_topology_is_shard_count_invariant() {
     assert!(reference.sent > 0, "fleet must carry traffic");
     assert_eq!(reference.late_schedules, 0, "an event was scheduled into the past");
     assert_eq!(reference.late_handoffs, 0, "a handoff reached its shard late");
+    // Idle windows are skipped: fewer windows run than the grid has,
+    // even counting the grid of one unphased run (the fleet's lookahead
+    // is the 6 ms core hop, and its phase cuts only add windows).
+    let grid = window_ends(Instant::ZERO, FleetConfig::small().horizon(), ShardedTestbed::CORE_HOP)
+        .count() as u64;
+    assert!(
+        reference.windows < grid,
+        "{} windows ran for {grid} grid windows: idle windows were not skipped",
+        reference.windows
+    );
     for shards in [2usize, 4, 8] {
         let mut cfg = FleetConfig::small();
         cfg.shards = shards;
@@ -200,6 +212,7 @@ fn fleet_topology_is_shard_count_invariant() {
         );
         assert_eq!(r.late_handoffs, 0, "a handoff reached its shard late at {shards} shard(s)");
         assert_eq!(r.trace_hash, reference.trace_hash, "trace hash diverged at {shards} shard(s)");
+        assert_eq!(r.windows, reference.windows, "window count diverged at {shards} shard(s)");
         assert_eq!(
             r.metrics_json, reference.metrics_json,
             "metrics document diverged at {shards} shard(s)"
